@@ -153,8 +153,8 @@ def select_target(
             return least_utilized(compute.cloud_vms), True
         return edge, False
     # orchestrator: offload to cloud iff the best local VM would cross the
-    # threshold by taking this task
-    if edge.utilization_pct + profile.vm_utilization_pct > (
+    # threshold by taking this task, in the exact units admission uses
+    if edge.util_centipct + _centipct(profile.vm_utilization_pct) > _centipct(
         policy.edge_utilization_threshold_pct
     ):
         return least_utilized(compute.cloud_vms), True

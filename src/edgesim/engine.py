@@ -31,7 +31,7 @@ from edgesim.metrics import MetricsCollector, MetricsSummary, SnapshotLog
 from edgesim.mobility import EventDrivenMobility, PrecomputedMobility
 from edgesim.network import NetworkState
 from edgesim.registry import make_registry
-from edgesim.rng import LOAD, PROFILE_ASSIGN, DeviceStreams
+from edgesim.rng import LOAD, PROFILE_ASSIGN, DeviceStreams, block_source
 
 BASELINE = "baseline"
 RENOVATED = "renovated"
@@ -116,6 +116,9 @@ class RunContext:
     def execute(
         self, observer: Optional[Callable[["RunContext", Event], None]] = None
     ) -> tuple[MetricsSummary, RunStats]:
+        """Drive the run to completion. A context runs once; a second call raises."""
+        if self.stats is not None:
+            raise RuntimeError("RunContext already executed; prepare a new run")
         if observer is None:
             handler = self.handle
         else:
@@ -144,7 +147,8 @@ def prepare_run(
         raise ValueError(f"unknown engine: {engine!r}")
     horizon = cfg.horizon_s
     kernel = Kernel()
-    streams = [DeviceStreams(seed, d) for d in range(cfg.device_count)]
+    source = block_source()
+    streams = [DeviceStreams(seed, d, source) for d in range(cfg.device_count)]
     profiles = assign_profiles(cfg, streams)
 
     if engine == BASELINE:

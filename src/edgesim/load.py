@@ -16,9 +16,8 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-import numpy as np
-
 from edgesim.kernel import EventKind
+from edgesim.rng import Stream
 
 
 @dataclass(frozen=True)
@@ -73,7 +72,7 @@ def generate_active_period(
     profile: TaskTypeProfile,
     period_start: float,
     horizon: float,
-    gen: np.random.Generator,
+    gen: Stream,
 ) -> tuple[list[float], float]:
     """Arrival times inside one active window, plus the next window's start.
 
@@ -96,7 +95,7 @@ def generate_all(
     device: int,
     profile: TaskTypeProfile,
     horizon: float,
-    gen: np.random.Generator,
+    gen: Stream,
 ) -> list[float]:
     """Eager strategy: every arrival of the run, generated before t=0."""
     if horizon <= 0:
@@ -114,7 +113,7 @@ def schedule_lazy(
     profile: TaskTypeProfile,
     period_start: float,
     horizon: float,
-    gen: np.random.Generator,
+    gen: Stream,
     kernel,
     assign_id,
 ) -> int:

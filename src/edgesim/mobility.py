@@ -203,7 +203,12 @@ def device_count_at(state: MobilityState, loc: int) -> int:
 
 
 class PrecomputedMobility:
-    """Baseline provider: floor-lookups into per-device trajectory lists."""
+    """Baseline provider: floor-lookups into per-device trajectory lists.
+
+    Queries clamp `now` to the horizon. The trajectories overshoot it,
+    but movement stops there, as it does when the event-driven engine
+    drops DEVICE_MOVE events past the horizon.
+    """
 
     strategy = "precomputed"
 
@@ -215,16 +220,18 @@ class PrecomputedMobility:
         streams: Sequence[DeviceStreams],
     ) -> None:
         self.aps = aps
+        self.horizon = horizon
         self.trajectories = [
             precompute_trajectory(d, horizon, aps, streams[d])
             for d in range(n_devices)
         ]
 
     def location_of(self, device: int, now: float) -> int:
-        return trajectory_location_at(self.trajectories[device], now)
+        return trajectory_location_at(self.trajectories[device], min(now, self.horizon))
 
     def count_at(self, loc: int, now: float) -> int:
         # The scan over every device is the cost being benchmarked.
+        now = min(now, self.horizon)
         total = 0
         for traj in self.trajectories:
             if traj.locations[bisect_right(traj.times, now) - 1] == loc:
@@ -232,6 +239,7 @@ class PrecomputedMobility:
         return total
 
     def counts_all(self, now: float) -> list[int]:
+        now = min(now, self.horizon)
         counts = [0] * len(self.aps)
         for traj in self.trajectories:
             counts[traj.locations[bisect_right(traj.times, now) - 1]] += 1

@@ -136,6 +136,23 @@ def test_orchestrator_threshold_rule():
     assert wan2 is False
 
 
+def test_orchestrator_threshold_boundary_is_exact():
+    # 0.2% + 0.1% is 0.30000000000000004 in floats; in hundredths of a
+    # percent it is exactly the 0.3% threshold, which does not cross it
+    compute = ComputeState(1, 1, 2000, 1, 10000)
+    compute.edge_vms[0][0].util_centipct = 20
+    pol = PlacementPolicy(TWO_TIER_ORCHESTRATOR, edge_utilization_threshold_pct=0.3)
+    target, wan = select_target(pol, profile(vm_utilization_pct=0.1), 0, compute,
+                                DeviceStreams(1, 0))
+    assert target is compute.edge_vms[0][0]
+    assert wan is False
+    compute.edge_vms[0][0].util_centipct = 21
+    target, wan = select_target(pol, profile(vm_utilization_pct=0.1), 0, compute,
+                                DeviceStreams(1, 0))
+    assert target is compute.cloud_vms[0]
+    assert wan is True
+
+
 def test_orchestrator_requires_threshold():
     with pytest.raises(ValueError):
         PlacementPolicy(TWO_TIER_ORCHESTRATOR)

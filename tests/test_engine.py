@@ -179,3 +179,27 @@ def test_longer_executions_lose_more_tasks_to_movement():
 def test_unknown_engine_rejected(small_cfg):
     with pytest.raises(ValueError):
         prepare_run(small_cfg, "turbo", SEED)
+
+
+def test_second_execute_raises(small_cfg):
+    ctx = prepare_run(small_cfg, RENOVATED, SEED)
+    ctx.execute()
+    with pytest.raises(RuntimeError):
+        ctx.execute()
+
+
+def test_engines_agree_when_the_horizon_cuts_active_windows():
+    # 90 s cuts the second 40 s active window; 10 s executions and dwells
+    # of 20-40 s leave tasks in flight at the horizon whose devices the
+    # baseline trajectories would still move after it.
+    d = scenario_dict(duration_min=1.5, device_count=30)
+    for ap, dwell in zip(d["access_points"], (20, 30, 40, 25)):
+        ap["attractiveness_s"] = dwell
+    d["profiles"][0]["length_mi"] = 40000
+    cfg = parse_scenario_dict(d)
+    for seed in range(4):
+        sink = []
+        base, _ = run_scenario(cfg, BASELINE, seed, record_sink=sink)
+        reno, _ = run_scenario(cfg, RENOVATED, seed)
+        assert any(r.finished_at > cfg.horizon_s for r in sink)
+        assert model_view(base) == model_view(reno)

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from edgesim.rng import (
     DESTINATION,
@@ -14,6 +16,7 @@ from edgesim.rng import (
     POLICY,
     PROFILE_ASSIGN,
     DeviceStreams,
+    block_source,
     run_seed,
     substream,
 )
@@ -85,3 +88,74 @@ def test_negative_master_seed_handled():
     # the low word masks to 64 bits rather than erroring
     gen = substream(-17 & ((1 << 64) - 1), 0, DWELL)
     assert 0.0 <= gen.random() < 1.0
+
+
+# --- block-drawn streams against the reference Generator ---------------------
+
+seeds = st.integers(min_value=0, max_value=2**64 - 1)
+devices = st.integers(min_value=0, max_value=10**5)
+purposes = st.sampled_from(range(N_PURPOSES))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=seeds, device=devices, purpose=purposes, n=st.integers(1, 400))
+def test_scalar_draws_equal_reference_across_block_boundaries(seed, device, purpose, n):
+    stream = DeviceStreams(seed, device).get(purpose)
+    draws = [stream.random() for _ in range(n)]
+    assert all(type(u) is float for u in draws)
+    assert np.array_equal(np.array(draws), substream(seed, device, purpose).random(n))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=seeds,
+    device=devices,
+    order=st.lists(st.tuples(purposes, st.integers(1, 70)), max_size=30),
+)
+def test_interleaved_purposes_each_equal_reference(seed, device, order):
+    streams = DeviceStreams(seed, device)
+    drawn: dict[int, list[float]] = {p: [] for p in range(N_PURPOSES)}
+    for purpose, k in order:
+        stream = streams.get(purpose)
+        drawn[purpose].extend(stream.random() for _ in range(k))
+    for purpose, got in drawn.items():
+        ref = substream(seed, device, purpose).random(len(got))
+        assert np.array_equal(np.array(got, dtype=np.float64), ref)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=seeds, device=devices, purpose=purposes, head=st.integers(0, 100),
+       n=st.integers(0, 150))
+def test_vector_draw_equals_scalar_draws(seed, device, purpose, head, n):
+    a = DeviceStreams(seed, device).get(purpose)
+    b = DeviceStreams(seed, device).get(purpose)
+    for _ in range(head):
+        a.random()
+        b.random()
+    block = a.random(n)
+    assert block.dtype == np.float64 and block.shape == (n,)
+    assert np.array_equal(block, np.array([b.random() for _ in range(n)]))
+
+
+def test_seeds_at_and_above_two_to_the_63_are_exact():
+    for seed in (2**63 - 1, 2**63, 2**64 - 1):
+        stream = DeviceStreams(seed, 99_999).get(PROFILE_ASSIGN)
+        draws = [stream.random() for _ in range(130)]
+        ref = substream(seed, 99_999, PROFILE_ASSIGN).random(130)
+        assert np.array_equal(np.array(draws), ref)
+
+
+def test_streams_sharing_one_source_stay_independent():
+    source = block_source()
+    shared = [DeviceStreams(5, d, source) for d in range(3)]
+    drawn = {(d, p): [] for d in range(3) for p in range(N_PURPOSES)}
+    for i in range(200):
+        d, p = i % 3, (i * 7) % N_PURPOSES
+        drawn[d, p].append(shared[d].get(p).random())
+    for (d, p), got in drawn.items():
+        assert np.array_equal(np.array(got), substream(5, d, p).random(len(got)))
+
+
+def test_unknown_purpose_rejected_by_device_streams():
+    with pytest.raises(ValueError):
+        DeviceStreams(42, 0).get(-1)
