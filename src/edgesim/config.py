@@ -9,6 +9,7 @@ config.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Any, Optional
 
@@ -80,9 +81,16 @@ def _require(obj: dict, key: str, path: str) -> Any:
 
 
 def _number(value: Any, path: str) -> float:
+    """A finite float. JSON's NaN and Infinity would stall or skew a run."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValidationError(path, f"expected a number, got {value!r}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise ValidationError(path, f"must be finite, got {value!r}")
+    return number
 
 
 def _integer(value: Any, path: str) -> int:
@@ -245,6 +253,11 @@ def parse_scenario_dict(data: dict) -> ScenarioConfig:
                 n.get("wan_transfer_capacity", 50), "network.wan_transfer_capacity"
             ),
         )
+        # The sender counts itself among the contenders, so a capacity
+        # below 1 fails every transfer.
+        for name in ("wlan_device_capacity", "wan_transfer_capacity"):
+            if getattr(kwargs["network"], name) < 1:
+                raise ValidationError(f"network.{name}", "must be at least 1")
         if kwargs["network"].wan_bandwidth_mbps <= 0:
             raise ValidationError("network.wan_bandwidth_mbps", "must be positive")
         if kwargs["network"].wan_propagation_s < 0:

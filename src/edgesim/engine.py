@@ -10,13 +10,21 @@ Two engines share every model rule and differ only in strategy wiring:
 The matched per-device substreams make the two produce the same movement
 and arrival history for the same (scenario, seed), which is the basis of
 every equivalence test in the suite.
+
+Each event kind has one handler, a bound method called as
+handler(payload, time). prepare_run builds the table once per run: the
+four LifecycleDriver.on_* methods and RunContext.on_location_snapshot on
+both engines, plus EventDrivenMobility.on_device_move and
+RunContext.on_active_period_start on the renovated one. RunContext.handle,
+the kernel's single dispatch entry, is one lookup and one call; a kind
+missing from the table raises ValueError.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Any, Callable, Optional
 
 from edgesim.compute import ComputeState, LifecycleDriver, TaskRecord
 from edgesim.config import ScenarioConfig
@@ -81,37 +89,32 @@ class RunContext:
     summary: Optional[MetricsSummary] = None
     stats: Optional[RunStats] = None
     _task_ids: itertools.count = field(default_factory=itertools.count)
+    #: Event kind -> handler(payload, time); prepare_run fills it.
+    handlers: dict[int, Callable[[Any, float], None]] = field(init=False)
 
     def handle(self, ev: Event) -> None:
-        kind = ev.kind
-        if kind == EventKind.TASK_ARRIVAL:
-            self.driver.on_task_arrival(ev.payload, ev.time)
-        elif kind == EventKind.UPLOAD_DONE:
-            self.driver.on_upload_done(ev.payload, ev.time)
-        elif kind == EventKind.EXEC_DONE:
-            self.driver.on_exec_done(ev.payload, ev.time)
-        elif kind == EventKind.DOWNLOAD_DONE:
-            self.driver.on_download_done(ev.payload, ev.time)
-        elif kind == EventKind.DEVICE_MOVE:
-            self.mobility.on_device_move(ev.payload, ev.time, self.kernel)
-        elif kind == EventKind.ACTIVE_PERIOD_START:
-            device = ev.payload
-            schedule_lazy(
-                device,
-                self.profiles[device],
-                ev.time,
-                self.cfg.horizon_s,
-                self.streams[device].get(LOAD),
-                self.kernel,
-                self._task_ids.__next__,
-            )
-        elif kind == EventKind.LOCATION_SNAPSHOT:
-            self.snapshot_log.append(ev.time, self.mobility.counts_all(ev.time))
-            self.kernel.schedule(
-                ev.time + self.cfg.snapshot_period_s, EventKind.LOCATION_SNAPSHOT
-            )
-        else:
-            raise ValueError(f"unhandled event kind: {kind}")
+        try:
+            handler = self.handlers[ev.kind]
+        except KeyError:
+            raise ValueError(f"unhandled event kind: {ev.kind!r}") from None
+        handler(ev.payload, ev.time)
+
+    def on_active_period_start(self, device: int, now: float) -> None:
+        schedule_lazy(
+            device,
+            self.profiles[device],
+            now,
+            self.cfg.horizon_s,
+            self.streams[device].get(LOAD),
+            self.kernel,
+            self._task_ids.__next__,
+        )
+
+    def on_location_snapshot(self, _payload: None, now: float) -> None:
+        self.snapshot_log.append(now, self.mobility.counts_all(now))
+        self.kernel.schedule(
+            now + self.cfg.snapshot_period_s, EventKind.LOCATION_SNAPSHOT
+        )
 
     def execute(
         self, observer: Optional[Callable[["RunContext", Event], None]] = None
@@ -194,12 +197,22 @@ def prepare_run(
         driver=driver,
         metrics=metrics,
     )
+    ctx.handlers = {
+        EventKind.TASK_ARRIVAL: driver.on_task_arrival,
+        EventKind.UPLOAD_DONE: driver.on_upload_done,
+        EventKind.EXEC_DONE: driver.on_exec_done,
+        EventKind.DOWNLOAD_DONE: driver.on_download_done,
+        EventKind.LOCATION_SNAPSHOT: ctx.on_location_snapshot,
+    }
+    if engine == RENOVATED:
+        ctx.handlers[EventKind.DEVICE_MOVE] = mobility.on_device_move
+        ctx.handlers[EventKind.ACTIVE_PERIOD_START] = ctx.on_active_period_start
 
     ids = ctx._task_ids
     if engine == BASELINE:
         for d in range(cfg.device_count):
             gen = streams[d].get(LOAD)
-            for arrival in generate_all(d, profiles[d], horizon, gen):
+            for arrival in generate_all(profiles[d], horizon, gen):
                 props = TaskProperties(next(ids), d, profiles[d], arrival)
                 kernel.schedule(arrival, EventKind.TASK_ARRIVAL, props)
     else:

@@ -136,19 +136,26 @@ def bench_sweep(
     out_dir: Optional[str] = None,
     master_seed: Optional[int] = None,
 ) -> list[BenchRow]:
-    """Mean/sd wall time per (sweep point, engine), distinct seed per iteration."""
+    """Mean/sd wall time per (sweep point, engine), distinct seed per iteration.
+
+    Within a sweep point the engines alternate, baseline iteration i then
+    renovated iteration i, so drift in host speed hits both engines alike
+    instead of landing between two blocks of runs.
+    """
     if iterations < 1:
         raise ValueError("iterations must be at least 1")
     master = cfg.master_seed if master_seed is None else master_seed
     rows: list[BenchRow] = []
     for value in values:
         cfg_v = _cfg_at(cfg, sweep_var, value)
+        results = {engine: [] for engine in ENGINES}
+        for i in range(iterations):
+            for engine in ENGINES:
+                seed = run_seed(master, f"bench-{sweep_var}={value:g}-{engine}", i)
+                results[engine].append(_one_run((cfg_v, engine, seed)))
         for engine in ENGINES:
-            family = f"bench-{sweep_var}={value:g}-{engine}"
-            seeds = [run_seed(master, family, i) for i in range(iterations)]
-            results = _run_many(cfg_v, engine, seeds, max_workers=1)
-            walls = [r[1] for r in results]
-            peaks = [r[2] for r in results]
+            walls = [r[1] for r in results[engine]]
+            peaks = [r[2] for r in results[engine]]
             rows.append(
                 BenchRow(
                     sweep_var=sweep_var,

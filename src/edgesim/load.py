@@ -68,7 +68,6 @@ def sample_interarrival(mean_s: float, u: float) -> float:
 
 
 def generate_active_period(
-    device: int,
     profile: TaskTypeProfile,
     period_start: float,
     horizon: float,
@@ -92,7 +91,6 @@ def generate_active_period(
 
 
 def generate_all(
-    device: int,
     profile: TaskTypeProfile,
     horizon: float,
     gen: Stream,
@@ -103,7 +101,7 @@ def generate_all(
     arrivals: list[float] = []
     start = 0.0
     while start < horizon:
-        period, start = generate_active_period(device, profile, start, horizon, gen)
+        period, start = generate_active_period(profile, start, horizon, gen)
         arrivals.extend(period)
     return arrivals
 
@@ -124,9 +122,7 @@ def schedule_lazy(
     sits in the queue, which is what keeps its size horizon-independent.
     Returns the number of arrivals enqueued.
     """
-    arrivals, next_start = generate_active_period(
-        device, profile, period_start, horizon, gen
-    )
+    arrivals, next_start = generate_active_period(profile, period_start, horizon, gen)
     for t in arrivals:
         props = TaskProperties(assign_id(), device, profile, t)
         kernel.schedule(t, EventKind.TASK_ARRIVAL, props)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 from edgesim.kernel import EventKind, Kernel
@@ -95,7 +95,6 @@ class Trajectory:
 
 
 def precompute_trajectory(
-    device: int,
     horizon: float,
     aps: Sequence[AccessPoint],
     streams: DeviceStreams,
@@ -126,82 +125,6 @@ def precompute_trajectory(
     return Trajectory(times, locs)
 
 
-def trajectory_location_at(traj: Trajectory, t: float) -> int:
-    """Floor lookup: location at the greatest movement time <= t."""
-    if t < 0:
-        raise ValueError("t must be non-negative")
-    return traj.locations[bisect_right(traj.times, t) - 1]
-
-
-@dataclass
-class MobilityState:
-    """Event-driven bookkeeping: locations, counters, next move times."""
-
-    loc_of: list[int]
-    count_at: list[int]
-    next_move_at: list[float]
-
-
-def init_event_driven(
-    n_devices: int,
-    aps: Sequence[AccessPoint],
-    streams: Sequence[DeviceStreams],
-    kernel: Kernel,
-) -> MobilityState:
-    """Place every device and schedule its first DeviceMove."""
-    n = len(aps)
-    if n < 2:
-        raise DegenerateTopology(f"need at least 2 locations, got {n}")
-    if n_devices < 1:
-        raise ValueError("need at least one device")
-    loc_of = []
-    count_at = [0] * n
-    next_move_at = []
-    for d in range(n_devices):
-        loc = place_initial(n, streams[d].get(PLACEMENT).random())
-        loc_of.append(loc)
-        count_at[loc] += 1
-        dwell = sample_dwell(aps[loc].attractiveness_s, streams[d].get(DWELL).random())
-        next_move_at.append(dwell)
-        kernel.schedule(dwell, EventKind.DEVICE_MOVE, d)
-    return MobilityState(loc_of, count_at, next_move_at)
-
-
-def apply_movement(
-    state: MobilityState,
-    device: int,
-    now: float,
-    aps: Sequence[AccessPoint],
-    streams: DeviceStreams,
-    kernel: Kernel,
-) -> int:
-    """Move one device: destination, counters, dwell at the new spot, reschedule.
-
-    The order matters only for reading the code against the event-driven
-    design it implements; the substreams make it irrelevant to the draws.
-    """
-    old = state.loc_of[device]
-    new = pick_destination(old, len(aps), streams.get(DESTINATION).random())
-    if state.count_at[old] <= 0:
-        raise InconsistentState(
-            f"count_at[{old}] would underflow moving device {device}"
-        )
-    state.count_at[old] -= 1
-    state.count_at[new] += 1
-    state.loc_of[device] = new
-    dwell = sample_dwell(aps[new].attractiveness_s, streams.get(DWELL).random())
-    state.next_move_at[device] = now + dwell
-    kernel.schedule(now + dwell, EventKind.DEVICE_MOVE, device)
-    return new
-
-
-def device_count_at(state: MobilityState, loc: int) -> int:
-    """O(1) counter read, the renovated replacement for the device scan."""
-    if not 0 <= loc < len(state.count_at):
-        raise UnknownLocation(f"location {loc} outside 0..{len(state.count_at) - 1}")
-    return state.count_at[loc]
-
-
 class PrecomputedMobility:
     """Baseline provider: floor-lookups into per-device trajectory lists.
 
@@ -222,12 +145,15 @@ class PrecomputedMobility:
         self.aps = aps
         self.horizon = horizon
         self.trajectories = [
-            precompute_trajectory(d, horizon, aps, streams[d])
-            for d in range(n_devices)
+            precompute_trajectory(horizon, aps, streams[d]) for d in range(n_devices)
         ]
 
     def location_of(self, device: int, now: float) -> int:
-        return trajectory_location_at(self.trajectories[device], min(now, self.horizon))
+        """Floor lookup: location at the greatest movement time <= now."""
+        if now < 0:
+            raise ValueError("now must be non-negative")
+        traj = self.trajectories[device]
+        return traj.locations[bisect_right(traj.times, min(now, self.horizon)) - 1]
 
     def count_at(self, loc: int, now: float) -> int:
         # The scan over every device is the cost being benchmarked.
@@ -247,7 +173,11 @@ class PrecomputedMobility:
 
 
 class EventDrivenMobility:
-    """Renovated provider: per-location counters updated by DeviceMove events."""
+    """Renovated provider: per-location counters updated by DeviceMove events.
+
+    Construction places every device and schedules its first move on
+    `kernel`; each move schedules the next one there.
+    """
 
     strategy = "event-driven"
 
@@ -258,20 +188,51 @@ class EventDrivenMobility:
         streams: Sequence[DeviceStreams],
         kernel: Kernel,
     ) -> None:
+        n = len(aps)
+        if n < 2:
+            raise DegenerateTopology(f"need at least 2 locations, got {n}")
+        if n_devices < 1:
+            raise ValueError("need at least one device")
         self.aps = aps
         self.streams = streams
-        self.state = init_event_driven(n_devices, aps, streams, kernel)
+        self.kernel = kernel
+        self.loc_of: list[int] = []
+        self.counts = [0] * n
+        for d in range(n_devices):
+            loc = place_initial(n, streams[d].get(PLACEMENT).random())
+            self.loc_of.append(loc)
+            self.counts[loc] += 1
+            u = streams[d].get(DWELL).random()
+            kernel.schedule(
+                sample_dwell(aps[loc].attractiveness_s, u), EventKind.DEVICE_MOVE, d
+            )
 
-    def on_device_move(self, device: int, now: float, kernel: Kernel) -> int:
-        return apply_movement(
-            self.state, device, now, self.aps, self.streams[device], kernel
-        )
+    def on_device_move(self, device: int, now: float) -> int:
+        """Move one device: destination, counters, dwell at the new spot, reschedule."""
+        streams = self.streams[device]
+        old = self.loc_of[device]
+        new = pick_destination(old, len(self.aps), streams.get(DESTINATION).random())
+        counts = self.counts
+        if counts[old] <= 0:
+            raise InconsistentState(
+                f"count at location {old} would underflow moving device {device}"
+            )
+        counts[old] -= 1
+        counts[new] += 1
+        self.loc_of[device] = new
+        u = streams.get(DWELL).random()
+        dwell = sample_dwell(self.aps[new].attractiveness_s, u)
+        self.kernel.schedule(now + dwell, EventKind.DEVICE_MOVE, device)
+        return new
 
     def location_of(self, device: int, now: float) -> int:
-        return self.state.loc_of[device]
+        return self.loc_of[device]
 
     def count_at(self, loc: int, now: float) -> int:
-        return device_count_at(self.state, loc)
+        """O(1) counter read, the renovated replacement for the device scan."""
+        if not 0 <= loc < len(self.counts):
+            raise UnknownLocation(f"location {loc} outside 0..{len(self.counts) - 1}")
+        return self.counts[loc]
 
     def counts_all(self, now: float) -> list[int]:
-        return list(self.state.count_at)
+        return list(self.counts)

@@ -80,7 +80,7 @@ def test_criterion_01_mobility_strategies_agree_exactly():
         }
 
         def on_move(ev):
-            loc = event_driven.on_device_move(ev.payload, ev.time, kernel)
+            loc = event_driven.on_device_move(ev.payload, ev.time)
             history[ev.payload].append((ev.time, loc))
 
         kernel.run(horizon, on_move)
@@ -136,7 +136,7 @@ def test_criterion_02_load_strategies_agree_exactly():
         eager = Counter()
         for d in range(devices):
             gen = DeviceStreams(seed, d).get(LOAD)
-            for arrival in generate_all(d, profile, horizon, gen):
+            for arrival in generate_all(profile, horizon, gen):
                 eager[(d, arrival)] += 1
 
         lazy = Counter()

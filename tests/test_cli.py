@@ -154,6 +154,17 @@ def test_invalid_scenario_content_exits_nonzero(tmp_path, capsys):
     assert "profiles.weights" in capsys.readouterr().err
 
 
+def test_non_finite_number_exits_nonzero(tmp_path, capsys):
+    # json accepts NaN; left unchecked, a renovated run would never end
+    path = tmp_path / "nan.json"
+    d = scenario_dict(duration_min=float("nan"))
+    path.write_text(json.dumps(d), encoding="utf-8")
+    assert "NaN" in path.read_text(encoding="utf-8")
+    rc = main(["run", "--scenario", str(path), "--engine", "renovated", "--seed", "1"])
+    assert rc == 1
+    assert "duration_min" in capsys.readouterr().err
+
+
 def test_bad_sweep_spec_exits_nonzero(scenario_file, tmp_path, capsys):
     rc = main(
         [

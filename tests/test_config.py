@@ -95,6 +95,43 @@ def test_nonpositive_duration_rejected():
         make_cfg(duration_min=0)
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"), 10**400])
+def test_duration_must_be_finite(value):
+    # Kernel.run's horizon test never fires on NaN, so the run would not end
+    with pytest.raises(ValidationError) as excinfo:
+        make_cfg(duration_min=value)
+    assert field_path_of(excinfo) == "duration_min"
+
+
+def test_attractiveness_must_be_finite():
+    d = scenario_dict()
+    d["access_points"][2]["attractiveness_s"] = float("nan")
+    with pytest.raises(ValidationError) as excinfo:
+        parse_scenario_dict(d)
+    assert field_path_of(excinfo) == "access_points[2].attractiveness_s"
+
+
+def test_profile_number_must_be_finite():
+    d = scenario_dict()
+    d["profiles"][0]["active_s"] = float("inf")
+    with pytest.raises(ValidationError) as excinfo:
+        parse_scenario_dict(d)
+    assert field_path_of(excinfo) == "profiles[0].active_s"
+
+
+@pytest.mark.parametrize("name", ["wlan_device_capacity", "wan_transfer_capacity"])
+@pytest.mark.parametrize("value", [0, -3, 0.5])
+def test_network_capacity_must_be_at_least_one(name, value):
+    # the sender is one of the contenders, so a capacity below 1 fails every task
+    d = scenario_dict()
+    d["network"][name] = value
+    with pytest.raises(ValidationError) as excinfo:
+        parse_scenario_dict(d)
+    assert field_path_of(excinfo) == f"network.{name}"
+    d["network"][name] = 1
+    assert getattr(parse_scenario_dict(d).network, name) == 1
+
+
 def test_fewer_than_two_access_points_rejected():
     d = scenario_dict()
     d["access_points"] = d["access_points"][:1]

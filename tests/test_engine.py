@@ -9,6 +9,7 @@ import pytest
 from edgesim.compute import SINGLE_TIER, TWO_TIER
 from edgesim.config import parse_scenario_dict
 from edgesim.engine import BASELINE, ENGINES, RENOVATED, prepare_run, run_scenario
+from edgesim.kernel import EventKind
 from edgesim.load import generate_all
 from edgesim.rng import LOAD, DeviceStreams
 from tests.conftest import make_cfg, scenario_dict
@@ -159,7 +160,7 @@ def test_baseline_preenqueues_the_eager_arrival_list(small_cfg):
     for d in range(small_cfg.device_count):
         gen = DeviceStreams(SEED, d).get(LOAD)
         expected += len(
-            generate_all(d, ctx.profiles[d], small_cfg.horizon_s, gen)
+            generate_all(ctx.profiles[d], small_cfg.horizon_s, gen)
         )
     assert ctx.kernel.scheduled_count == expected
     summary, _ = ctx.execute()
@@ -185,6 +186,22 @@ def test_second_execute_raises(small_cfg):
     ctx = prepare_run(small_cfg, RENOVATED, SEED)
     ctx.execute()
     with pytest.raises(RuntimeError):
+        ctx.execute()
+
+
+@pytest.mark.parametrize(
+    "engine, kind",
+    [
+        (BASELINE, EventKind.DEVICE_MOVE),  # renovated-only kind
+        (BASELINE, EventKind.ACTIVE_PERIOD_START),
+        (RENOVATED, len(EventKind)),  # outside the taxonomy
+        (RENOVATED, -1),  # must not wrap around to the last kind
+    ],
+)
+def test_event_without_a_handler_fails_loudly(small_cfg, engine, kind):
+    ctx = prepare_run(small_cfg, engine, SEED)
+    ctx.kernel.schedule(1.0, kind, 0)
+    with pytest.raises(ValueError, match="unhandled event kind"):
         ctx.execute()
 
 

@@ -64,14 +64,14 @@ def test_interarrival_empirical_mean():
 def test_active_period_hand_simulation():
     # gaps 10, 15, 25: third lands at 50, past the 40 s window
     gen = ScriptedGen([10, 15, 25], 20.0)
-    arrivals, nxt = generate_active_period(0, profile(), 0.0, 1e9, gen)
+    arrivals, nxt = generate_active_period(profile(), 0.0, 1e9, gen)
     assert arrivals == pytest.approx([10.0, 25.0], rel=1e-12)
     assert nxt == 60.0
 
 
 def test_active_period_first_draw_overshoots():
     gen = ScriptedGen([45], 20.0)
-    arrivals, nxt = generate_active_period(0, profile(), 0.0, 1e9, gen)
+    arrivals, nxt = generate_active_period(profile(), 0.0, 1e9, gen)
     assert arrivals == []
     assert nxt == 60.0
 
@@ -79,22 +79,22 @@ def test_active_period_first_draw_overshoots():
 def test_active_period_horizon_clamp():
     # window starts at 1790; a 4 s gap fits under horizon 1800, then stop
     gen = ScriptedGen([4, 10], 20.0)
-    arrivals, _ = generate_active_period(0, profile(), 1790.0, 1800.0, gen)
+    arrivals, _ = generate_active_period(profile(), 1790.0, 1800.0, gen)
     assert arrivals == pytest.approx([1794.0], rel=1e-12)
     gen2 = ScriptedGen([12], 20.0)
-    arrivals2, _ = generate_active_period(0, profile(), 1790.0, 1800.0, gen2)
+    arrivals2, _ = generate_active_period(profile(), 1790.0, 1800.0, gen2)
     assert arrivals2 == []  # 1802 is past the horizon
 
 
 def test_active_period_requires_start_before_horizon():
     with pytest.raises(ValueError):
-        generate_active_period(0, profile(), 1800.0, 1800.0, ScriptedGen([1], 20.0))
+        generate_active_period(profile(), 1800.0, 1800.0, ScriptedGen([1], 20.0))
 
 
 def test_generate_all_single_period_equals_one_call():
     p = profile(active_s=40.0, idle_s=20.0)
-    a = generate_all(0, p, 40.0, DeviceStreams(21, 0).get(LOAD))
-    b, _ = generate_active_period(0, p, 0.0, 40.0, DeviceStreams(21, 0).get(LOAD))
+    a = generate_all(p, 40.0, DeviceStreams(21, 0).get(LOAD))
+    b, _ = generate_active_period(p, 0.0, 40.0, DeviceStreams(21, 0).get(LOAD))
     assert a == b
 
 
@@ -103,14 +103,14 @@ def test_generate_all_expected_count():
     p = profile(interarrival_mean_s=5.0, active_s=45.0, idle_s=15.0)
     total = 0
     for d in range(500):
-        total += len(generate_all(d, p, 1800.0, DeviceStreams(77, d).get(LOAD)))
+        total += len(generate_all(p, 1800.0, DeviceStreams(77, d).get(LOAD)))
     assert abs(total / 500 - 270.0) < 10.0
 
 
 def test_arrivals_confined_to_active_windows():
     p = profile(interarrival_mean_s=7.0, active_s=33.0, idle_s=14.0)
     for d in range(20):
-        for t in generate_all(d, p, 2000.0, DeviceStreams(13, d).get(LOAD)):
+        for t in generate_all(p, 2000.0, DeviceStreams(13, d).get(LOAD)):
             k = int(t // p.cycle_s)
             offset = t - k * p.cycle_s
             assert 0.0 < offset < p.active_s
@@ -128,11 +128,11 @@ def test_eager_equals_chained_periods(mean, active, idle, seed):
     # generate_all must be literally the fold of generate_active_period
     p = profile(interarrival_mean_s=mean, active_s=active, idle_s=idle)
     horizon = 900.0
-    eager = generate_all(0, p, horizon, DeviceStreams(seed, 0).get(LOAD))
+    eager = generate_all(p, horizon, DeviceStreams(seed, 0).get(LOAD))
     gen = DeviceStreams(seed, 0).get(LOAD)
     chained, start = [], 0.0
     while start < horizon:
-        period, start = generate_active_period(0, p, start, horizon, gen)
+        period, start = generate_active_period(p, start, horizon, gen)
         chained.extend(period)
     assert eager == chained  # exact float equality
 
@@ -176,7 +176,7 @@ def test_lazy_run_matches_eager_multiset():
     p = profile(interarrival_mean_s=9.0, active_s=30.0, idle_s=25.0)
     horizon = 700.0
     for d in range(10):
-        eager = generate_all(d, p, horizon, DeviceStreams(55, d).get(LOAD))
+        eager = generate_all(p, horizon, DeviceStreams(55, d).get(LOAD))
 
         kernel = Kernel()
         gen = DeviceStreams(55, d).get(LOAD)

@@ -21,18 +21,13 @@ from edgesim.mobility import (
     DegenerateTopology,
     EventDrivenMobility,
     InconsistentState,
-    MobilityState,
     PrecomputedMobility,
     Trajectory,
     UnknownLocation,
-    apply_movement,
-    device_count_at,
-    init_event_driven,
     pick_destination,
     place_initial,
     precompute_trajectory,
     sample_dwell,
-    trajectory_location_at,
 )
 from edgesim.rng import DESTINATION, DWELL, PLACEMENT, DeviceStreams
 
@@ -146,7 +141,7 @@ def test_trajectory_tiny_horizon_single_movement():
     # first dwell 100 s with horizon just past 0: the loop runs once
     u_dwell = -math.expm1(-1.0)  # gap of one mean
     streams = FakeStreams({PLACEMENT: [0.0], DWELL: [u_dwell], DESTINATION: [0.0]})
-    traj = precompute_trajectory(0, 1e-9, [ap(0, 100.0), ap(1, 100.0)], streams)
+    traj = precompute_trajectory(1e-9, [ap(0, 100.0), ap(1, 100.0)], streams)
     assert traj.times == pytest.approx([0.0, 100.0], rel=1e-12)
     assert traj.locations == [0, 1]
     assert traj.movement_count == 1
@@ -157,7 +152,7 @@ def test_trajectory_hand_simulated_keys():
     # destinations forced to the first candidate: keys {0, 100, 350}
     u = -math.expm1(-1.0)
     streams = FakeStreams({PLACEMENT: [0.0], DWELL: [u, u], DESTINATION: [0.0, 0.0]})
-    traj = precompute_trajectory(0, 300.0, [ap(0, 100.0), ap(1, 250.0)], streams)
+    traj = precompute_trajectory(300.0, [ap(0, 100.0), ap(1, 250.0)], streams)
     assert traj.times == pytest.approx([0.0, 100.0, 350.0], rel=1e-12)
     assert traj.locations == [0, 1, 0]
 
@@ -167,7 +162,7 @@ def test_trajectory_invariants_and_movement_count():
     stored = []
     within = []
     for d in range(500):
-        traj = precompute_trajectory(d, 1800.0, aps, DeviceStreams(31, d))
+        traj = precompute_trajectory(1800.0, aps, DeviceStreams(31, d))
         assert traj.times[0] == 0.0
         assert all(a < b for a, b in zip(traj.times, traj.times[1:]))
         assert traj.times[-1] > 1800.0  # generation overshoots the horizon
@@ -180,18 +175,26 @@ def test_trajectory_invariants_and_movement_count():
     assert abs(sum(stored) / 500 - 7.0) < 0.5
 
 
-# --- trajectory_location_at ------------------------------------------------
+# --- PrecomputedMobility.location_of --------------------------------------
 
 def test_floor_lookup():
-    traj = Trajectory(times=[0.0, 100.0, 250.0], locations=[0, 1, 2])
-    assert trajectory_location_at(traj, 180.0) == 1
-    assert trajectory_location_at(traj, 100.0) == 1  # boundary: key equals t
-    assert trajectory_location_at(traj, 0.0) == 0
+    prov = PrecomputedMobility(1, [ap(0), ap(1), ap(2)], 300.0, [DeviceStreams(0, 0)])
+    prov.trajectories[0] = Trajectory(times=[0.0, 100.0, 250.0], locations=[0, 1, 2])
+    assert prov.location_of(0, 180.0) == 1
+    assert prov.location_of(0, 100.0) == 1  # boundary: key equals t
+    assert prov.location_of(0, 0.0) == 0
     with pytest.raises(ValueError):
-        trajectory_location_at(traj, -1.0)
+        prov.location_of(0, -1.0)
 
 
-# --- event-driven state ----------------------------------------------------
+# --- EventDrivenMobility ---------------------------------------------------
+
+def placed(locations, n_aps, draws):
+    """Scripted streams placing device d at locations[d] out of n_aps."""
+    return [
+        FakeStreams({PLACEMENT: [(loc + 0.5) / n_aps], **draws}) for loc in locations
+    ]
+
 
 def test_init_places_and_schedules_one_move_per_device():
     kernel = Kernel()
@@ -199,10 +202,10 @@ def test_init_places_and_schedules_one_move_per_device():
     streams = [
         FakeStreams({PLACEMENT: [0.0], DWELL: [0.5]}) for _ in range(3)
     ]
-    state = init_event_driven(3, aps, streams, kernel)
-    assert state.count_at == [3, 0, 0]  # forced placement at AP 0
+    mob = EventDrivenMobility(3, aps, streams, kernel)
+    assert mob.counts_all(0.0) == [3, 0, 0]  # forced placement at AP 0
     assert len(kernel) == 3
-    assert state.loc_of == [0, 0, 0]
+    assert [mob.location_of(d, 0.0) for d in range(3)] == [0, 0, 0]
 
 
 def test_init_first_move_times_match_precomputed_first_keys():
@@ -210,47 +213,59 @@ def test_init_first_move_times_match_precomputed_first_keys():
     aps = [ap(i, 100.0 + 40 * i) for i in range(4)]
     kernel = Kernel()
     live = [DeviceStreams(5, d) for d in range(20)]
-    state = init_event_driven(20, aps, live, kernel)
+    EventDrivenMobility(20, aps, live, kernel)
+    first_move = {}
+    while len(kernel):
+        ev = kernel.pop_next()
+        assert ev.kind == EventKind.DEVICE_MOVE
+        first_move[ev.payload] = ev.time
     fresh = [DeviceStreams(5, d) for d in range(20)]
     for d in range(20):
-        traj = precompute_trajectory(d, 600.0, aps, fresh[d])
-        assert state.next_move_at[d] == traj.times[1]  # exact, same draws
+        traj = precompute_trajectory(600.0, aps, fresh[d])
+        assert first_move[d] == traj.times[1]  # exact, same draws
 
 
 def test_apply_movement_counter_update():
     aps = [ap(i) for i in range(4)]
     kernel = Kernel()
-    kernel.now = 100.0
-    state = MobilityState(loc_of=[0, 2, 0], count_at=[2, 0, 1, 0],
-                          next_move_at=[100.0, 500.0, 600.0])
+    # devices at APs 0, 2, 0; device 0's first move after 100 s (a third
+    # of the mean), the others after 300 s
+    streams = placed([0, 2, 0], 4, {DWELL: [-math.expm1(-1.0)]})
+    streams[0] = placed(
+        [0], 4, {DWELL: [-math.expm1(-1 / 3), -math.expm1(-0.25)], DESTINATION: [1 / 3]}
+    )[0]
+    mob = EventDrivenMobility(3, aps, streams, kernel)
+    assert mob.counts_all(0.0) == [2, 0, 1, 0]
+    ev = kernel.pop_next()
+    assert ev.payload == 0 and ev.time == pytest.approx(100.0, rel=1e-12)
     # destination draw forced to AP 2 (candidates of 0 are {1,2,3})
-    streams = FakeStreams({DESTINATION: [1 / 3], DWELL: [-math.expm1(-0.25)]})
-    new = apply_movement(state, 0, 100.0, aps, streams, kernel)
+    new = mob.on_device_move(0, ev.time)
     assert new == 2
-    assert state.count_at == [1, 0, 2, 0]
-    assert state.loc_of[0] == 2
+    assert mob.counts_all(ev.time) == [1, 0, 2, 0]
+    assert mob.location_of(0, ev.time) == 2
     # dwell of a quarter mean (75 s) at the new location: next move at 175
-    assert state.next_move_at[0] == pytest.approx(175.0, rel=1e-12)
     ev = kernel.pop_next()
     assert ev.kind == EventKind.DEVICE_MOVE and ev.payload == 0
+    assert ev.time == pytest.approx(175.0, rel=1e-12)
 
 
 def test_apply_movement_underflow_aborts():
     aps = [ap(0), ap(1)]
-    state = MobilityState(loc_of=[0], count_at=[0, 1], next_move_at=[5.0])
-    streams = FakeStreams({DESTINATION: [0.0], DWELL: [0.5]})
+    streams = placed([0], 2, {DESTINATION: [0.0], DWELL: [0.5, 0.5]})
+    mob = EventDrivenMobility(1, aps, streams, Kernel())
+    mob.counts[0] = 0  # counters out of step with the device's location
     with pytest.raises(InconsistentState):
-        apply_movement(state, 0, 5.0, aps, streams, Kernel())
+        mob.on_device_move(0, 5.0)
 
 
 def test_device_count_reads_and_bounds():
-    state = MobilityState(loc_of=[2, 2, 0], count_at=[1, 0, 2, 0],
-                          next_move_at=[0.0, 0.0, 0.0])
-    assert device_count_at(state, 2) == 2
+    streams = placed([2, 2, 0], 4, {DWELL: [0.5]})
+    mob = EventDrivenMobility(3, [ap(i) for i in range(4)], streams, Kernel())
+    assert mob.count_at(2, 0.0) == 2
     with pytest.raises(UnknownLocation):
-        device_count_at(state, 7)
+        mob.count_at(7, 0.0)
     with pytest.raises(UnknownLocation):
-        device_count_at(state, -1)
+        mob.count_at(-1, 0.0)
 
 
 def test_replay_reproduces_baseline_trajectory_exactly():
@@ -261,18 +276,18 @@ def test_replay_reproduces_baseline_trajectory_exactly():
     n = 30
     kernel = Kernel()
     mob = EventDrivenMobility(n, aps, [DeviceStreams(11, d) for d in range(n)], kernel)
-    replay = {d: [(0.0, mob.state.loc_of[d])] for d in range(n)}
+    replay = {d: [(0.0, mob.location_of(d, 0.0))] for d in range(n)}
 
     def handler(ev):
-        new = mob.on_device_move(ev.payload, ev.time, kernel)
+        new = mob.on_device_move(ev.payload, ev.time)
         replay[ev.payload].append((ev.time, new))
-        assert sum(mob.state.count_at) == n  # conservation at every event
+        assert sum(mob.counts_all(ev.time)) == n  # conservation at every event
 
     kernel.run(horizon, handler)
 
     fresh = [DeviceStreams(11, d) for d in range(n)]
     for d in range(n):
-        traj = precompute_trajectory(d, horizon, aps, fresh[d])
+        traj = precompute_trajectory(horizon, aps, fresh[d])
         inside = [
             (t, loc) for t, loc in zip(traj.times, traj.locations) if t <= horizon
         ]
