@@ -11,7 +11,7 @@ import os
 import sys
 from typing import Optional, Sequence
 
-from edgesim.config import ParseError, ValidationError, parse_scenario
+from edgesim.config import ParseError, ValidationError, load_scenario
 from edgesim.engine import ENGINES, prepare_run
 from edgesim.harness import (
     bench_sweep,
@@ -60,7 +60,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    cfg = parse_scenario(args.scenario)
+    cfg = load_scenario(args.scenario)
     ctx = prepare_run(cfg, args.engine, args.seed, snapshots=args.snapshots)
     summary, stats = ctx.execute()
     print(summary.canonical())
@@ -88,7 +88,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    cfg = parse_scenario(args.scenario)
+    cfg = load_scenario(args.scenario)
     sweep_var, values = parse_sweep(args.sweep)
     rows = bench_sweep(cfg, sweep_var, values, args.iterations, out_dir=args.out)
     for row in rows:
@@ -102,7 +102,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    cfg = parse_scenario(args.scenario)
+    cfg = load_scenario(args.scenario)
     report = validate_equivalence(
         cfg, args.runs, out_dir=args.out, max_workers=max_workers_from_env()
     )

@@ -1,17 +1,24 @@
 """Scenario ingestion: JSON in, validated ScenarioConfig out.
 
-Validation errors name the offending field with a dotted path so a bad
-file is diagnosable without reading this module. serialize_scenario is
-the exact inverse of parsing: serialize(parse(f)) parses to an equal
-config.
+Each scenario field is declared once, as a field of a frozen dataclass:
+the model's own records (AccessPoint, TaskTypeProfile, PlacementPolicy)
+or the specs below. The field's annotation picks its JSON reader, a
+default lets the field be absent, and serialize_scenario walks the same
+fields back out, so serialize(parse(f)) parses to an equal config.
+
+A field's rule lives in its dataclass's __post_init__, so a config built
+with dataclasses.replace is held to it too. The specs and ScenarioConfig
+raise ValidationError at the field name, which the reader prefixes with
+the object's path (``network.wan_bandwidth_mbps``). The model records
+raise ValueError, reported at the object's path (``profiles[0]``).
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
-from typing import Any, Optional
+from dataclasses import MISSING, dataclass, fields, is_dataclass
+from typing import Any, Optional, get_args, get_origin, get_type_hints
 
 from edgesim.compute import SINGLE_TIER, PlacementPolicy
 from edgesim.load import TaskTypeProfile
@@ -24,8 +31,14 @@ class ParseError(ValueError):
 
 class ValidationError(ValueError):
     def __init__(self, field_path: str, message: str) -> None:
-        super().__init__(f"{field_path}: {message}")
+        super().__init__(f"{field_path}: {message}" if field_path else message)
         self.field_path = field_path
+        self.message = message
+
+
+def _check(ok: bool, field_path: str, message: str) -> None:
+    if not ok:
+        raise ValidationError(field_path, message)
 
 
 @dataclass(frozen=True)
@@ -33,19 +46,35 @@ class EdgeSpec:
     vms_per_ap: int
     mips: float
 
+    def __post_init__(self) -> None:
+        _check(self.vms_per_ap >= 1, "vms_per_ap", "must be at least 1")
+        _check(self.mips > 0, "mips", "must be positive")
+
 
 @dataclass(frozen=True)
 class CloudSpec:
     vm_count: int
     mips: float
 
+    def __post_init__(self) -> None:
+        _check(self.vm_count >= 1, "vm_count", "must be at least 1")
+        _check(self.mips > 0, "mips", "must be positive")
+
 
 @dataclass(frozen=True)
 class NetworkSpec:
     wan_bandwidth_mbps: float
     wan_propagation_s: float
-    wlan_device_capacity: float = 100
-    wan_transfer_capacity: float = 50
+    wlan_device_capacity: float = 100.0
+    wan_transfer_capacity: float = 50.0
+
+    def __post_init__(self) -> None:
+        # The sender counts itself among the contenders, so a capacity
+        # below 1 fails every transfer.
+        for name in ("wlan_device_capacity", "wan_transfer_capacity"):
+            _check(getattr(self, name) >= 1, name, "must be at least 1")
+        _check(self.wan_bandwidth_mbps > 0, "wan_bandwidth_mbps", "must be positive")
+        _check(self.wan_propagation_s >= 0, "wan_propagation_s", "must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -69,14 +98,33 @@ class ScenarioConfig:
     snapshot_period_s: Optional[float] = 60.0
     master_seed: int = 1
 
+    def __post_init__(self) -> None:
+        _check(self.duration_min > 0, "duration_min", "must be positive")
+        _check(self.device_count >= 1, "device_count", "must be at least 1")
+        _check(len(self.access_points) >= 2, "access_points", "need at least 2")
+        _check(len(self.profiles) >= 1, "profiles", "need at least 1")
+        for i, wp in enumerate(self.profiles):
+            _check(wp.weight >= 0, f"profiles[{i}].weight", "must be non-negative")
+        total = sum(wp.weight for wp in self.profiles)
+        _check(abs(total - 1.0) <= 1e-9, "profiles.weights", f"must sum to 1, got {total!r}")
+        period = self.snapshot_period_s
+        _check(period is None or period > 0, "snapshot_period_s", "must be positive")
+        _check(self.master_seed >= 0, "master_seed", "must be non-negative")
+
     @property
     def horizon_s(self) -> float:
         return self.duration_min * 60.0
 
 
-def _require(obj: dict, key: str, path: str) -> Any:
+def _object(value: Any, path: str) -> dict:
+    if not isinstance(value, dict):
+        raise ValidationError(path, "expected a JSON object")
+    return value
+
+
+def _require(obj: dict, key: str, prefix: str) -> Any:
     if key not in obj:
-        raise ValidationError(f"{path}{key}", "missing required field")
+        raise ValidationError(f"{prefix}{key}", "missing required field")
     return obj[key]
 
 
@@ -99,185 +147,65 @@ def _integer(value: Any, path: str) -> int:
     return value
 
 
-def _parse_access_point(obj: dict, index: int) -> AccessPoint:
-    path = f"access_points[{index}]"
-    if not isinstance(obj, dict):
-        raise ValidationError(path, "expected an object")
-    if "id" in obj and obj["id"] != index:
+def _access_point(value: Any, path: str, index: int) -> AccessPoint:
+    # The id is the position; a file may repeat it but not contradict it.
+    if _object(value, path).get("id", index) != index:
         raise ValidationError(f"{path}.id", f"must equal position {index}")
-    try:
-        return AccessPoint(
-            id=index,
-            x_m=_number(_require(obj, "x_m", path + "."), f"{path}.x_m"),
-            y_m=_number(_require(obj, "y_m", path + "."), f"{path}.y_m"),
-            attractiveness_s=_number(
-                _require(obj, "attractiveness_s", path + "."),
-                f"{path}.attractiveness_s",
-            ),
-            wlan_bandwidth_mbps=_number(
-                _require(obj, "wlan_bandwidth_mbps", path + "."),
-                f"{path}.wlan_bandwidth_mbps",
-            ),
-        )
-    except ValueError as err:
-        if isinstance(err, ValidationError):
-            raise
-        raise ValidationError(path, str(err)) from err
+    return _build(AccessPoint, {**value, "id": index}, path)
 
 
-_PROFILE_NUMBER_FIELDS = (
-    "interarrival_mean_s",
-    "active_s",
-    "idle_s",
-    "length_mi",
-    "vm_utilization_pct",
-    "cloud_probability",
-)
-
-
-def _parse_profile(obj: dict, index: int) -> WeightedProfile:
-    path = f"profiles[{index}]"
-    if not isinstance(obj, dict):
-        raise ValidationError(path, "expected an object")
-    weight = _number(_require(obj, "weight", path + "."), f"{path}.weight")
-    if weight < 0:
-        raise ValidationError(f"{path}.weight", "must be non-negative")
-    kwargs: dict[str, Any] = {
-        "name": str(_require(obj, "name", path + ".")),
-        "upload_bytes": _integer(
-            _require(obj, "upload_bytes", path + "."), f"{path}.upload_bytes"
-        ),
-        "download_bytes": _integer(
-            _require(obj, "download_bytes", path + "."), f"{path}.download_bytes"
-        ),
-    }
-    for name in _PROFILE_NUMBER_FIELDS:
-        kwargs[name] = _number(_require(obj, name, path + "."), f"{path}.{name}")
-    try:
-        profile = TaskTypeProfile(**kwargs)
-    except ValueError as err:
-        raise ValidationError(path, str(err)) from err
-    return WeightedProfile(weight=weight, profile=profile)
-
-
-def _parse_policy(obj: Any) -> PlacementPolicy:
-    if not isinstance(obj, dict):
-        raise ValidationError("policy", "expected an object")
-    variant = _require(obj, "variant", "policy.")
-    threshold = obj.get("edge_utilization_threshold_pct")
-    if threshold is not None:
-        threshold = _number(threshold, "policy.edge_utilization_threshold_pct")
-    try:
-        return PlacementPolicy(variant, threshold)
-    except ValueError as err:
-        raise ValidationError("policy", str(err)) from err
-
-
-def parse_scenario_dict(data: dict) -> ScenarioConfig:
-    if not isinstance(data, dict):
-        raise ValidationError("", "scenario root must be a JSON object")
-
-    duration_min = _number(_require(data, "duration_min", ""), "duration_min")
-    if duration_min <= 0:
-        raise ValidationError("duration_min", "must be positive")
-    device_count = _integer(_require(data, "device_count", ""), "device_count")
-    if device_count < 1:
-        raise ValidationError("device_count", "must be at least 1")
-
-    aps_raw = _require(data, "access_points", "")
-    if not isinstance(aps_raw, list) or len(aps_raw) < 2:
-        raise ValidationError("access_points", "need a list of at least 2")
-    aps = tuple(_parse_access_point(o, i) for i, o in enumerate(aps_raw))
-
-    profiles_raw = _require(data, "profiles", "")
-    if not isinstance(profiles_raw, list) or not profiles_raw:
-        raise ValidationError("profiles", "need a non-empty list")
-    profiles = tuple(_parse_profile(o, i) for i, o in enumerate(profiles_raw))
-    total = sum(wp.weight for wp in profiles)
-    if abs(total - 1.0) > 1e-9:
-        raise ValidationError("profiles.weights", f"must sum to 1, got {total!r}")
-
-    kwargs: dict[str, Any] = dict(
-        duration_min=duration_min,
-        device_count=device_count,
-        access_points=aps,
-        profiles=profiles,
+def _weighted_profile(value: Any, path: str, index: int) -> WeightedProfile:
+    # The weight sits beside the profile's own fields in the file.
+    weight = _require(_object(value, path), "weight", f"{path}.")
+    return WeightedProfile(
+        _number(weight, f"{path}.weight"), _build(TaskTypeProfile, value, path)
     )
-    if "policy" in data:
-        kwargs["policy"] = _parse_policy(data["policy"])
-    if "edge" in data:
-        e = data["edge"]
-        if not isinstance(e, dict):
-            raise ValidationError("edge", "expected an object")
-        kwargs["edge"] = EdgeSpec(
-            vms_per_ap=_integer(
-                _require(e, "vms_per_ap", "edge."), "edge.vms_per_ap"
-            ),
-            mips=_number(_require(e, "mips", "edge."), "edge.mips"),
-        )
-        if kwargs["edge"].vms_per_ap < 1:
-            raise ValidationError("edge.vms_per_ap", "must be at least 1")
-        if kwargs["edge"].mips <= 0:
-            raise ValidationError("edge.mips", "must be positive")
-    if "cloud" in data:
-        c = data["cloud"]
-        if not isinstance(c, dict):
-            raise ValidationError("cloud", "expected an object")
-        kwargs["cloud"] = CloudSpec(
-            vm_count=_integer(
-                _require(c, "vm_count", "cloud."), "cloud.vm_count"
-            ),
-            mips=_number(_require(c, "mips", "cloud."), "cloud.mips"),
-        )
-        if kwargs["cloud"].vm_count < 1:
-            raise ValidationError("cloud.vm_count", "must be at least 1")
-        if kwargs["cloud"].mips <= 0:
-            raise ValidationError("cloud.mips", "must be positive")
-    if "network" in data:
-        n = data["network"]
-        if not isinstance(n, dict):
-            raise ValidationError("network", "expected an object")
-        kwargs["network"] = NetworkSpec(
-            wan_bandwidth_mbps=_number(
-                _require(n, "wan_bandwidth_mbps", "network."),
-                "network.wan_bandwidth_mbps",
-            ),
-            wan_propagation_s=_number(
-                _require(n, "wan_propagation_s", "network."),
-                "network.wan_propagation_s",
-            ),
-            wlan_device_capacity=_number(
-                n.get("wlan_device_capacity", 100), "network.wlan_device_capacity"
-            ),
-            wan_transfer_capacity=_number(
-                n.get("wan_transfer_capacity", 50), "network.wan_transfer_capacity"
-            ),
-        )
-        # The sender counts itself among the contenders, so a capacity
-        # below 1 fails every transfer.
-        for name in ("wlan_device_capacity", "wan_transfer_capacity"):
-            if getattr(kwargs["network"], name) < 1:
-                raise ValidationError(f"network.{name}", "must be at least 1")
-        if kwargs["network"].wan_bandwidth_mbps <= 0:
-            raise ValidationError("network.wan_bandwidth_mbps", "must be positive")
-        if kwargs["network"].wan_propagation_s < 0:
-            raise ValidationError(
-                "network.wan_propagation_s", "must be non-negative"
-            )
-    if "snapshot_period_s" in data:
-        period = data["snapshot_period_s"]
-        if period is not None:
-            period = _number(period, "snapshot_period_s")
-            if period <= 0:
-                raise ValidationError("snapshot_period_s", "must be positive")
-        kwargs["snapshot_period_s"] = period
-    if "master_seed" in data:
-        kwargs["master_seed"] = _integer(data["master_seed"], "master_seed")
-
-    return ScenarioConfig(**kwargs)
 
 
-def parse_scenario(path: str) -> ScenarioConfig:
+_ITEM_READERS = {AccessPoint: _access_point, WeightedProfile: _weighted_profile}
+
+
+def _read(kind: Any, value: Any, path: str) -> Any:
+    """Read one JSON value as the annotated type `kind`."""
+    if kind is float:
+        return _number(value, path)
+    if kind is int:
+        return _integer(value, path)
+    if kind is str:
+        return str(value)
+    if kind == Optional[float]:
+        return None if value is None else _number(value, path)
+    if get_origin(kind) is tuple:
+        if not isinstance(value, list):
+            raise ValidationError(path, "expected a list")
+        item = _ITEM_READERS[get_args(kind)[0]]
+        return tuple(item(v, f"{path}[{i}]", i) for i, v in enumerate(value))
+    return _build(kind, value, path)
+
+
+def _build(cls: type, value: Any, path: str) -> Any:
+    """Read the JSON object at `path` into the config dataclass `cls`."""
+    obj = _object(value, path)
+    prefix = f"{path}." if path else ""
+    kinds = get_type_hints(cls)
+    kwargs = {
+        f.name: _read(kinds[f.name], _require(obj, f.name, prefix), prefix + f.name)
+        for f in fields(cls)
+        if f.name in obj or f.default is MISSING
+    }
+    try:
+        return cls(**kwargs)
+    except ValidationError as err:
+        raise ValidationError(prefix + err.field_path, err.message) from err
+    except ValueError as err:
+        raise ValidationError(path, str(err)) from err
+
+
+def parse_scenario_dict(data: Any) -> ScenarioConfig:
+    return _build(ScenarioConfig, data, "")
+
+
+def load_scenario(path: str) -> ScenarioConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
@@ -288,55 +216,24 @@ def parse_scenario(path: str) -> ScenarioConfig:
     return parse_scenario_dict(data)
 
 
-load_scenario = parse_scenario
+def _plain(value: Any) -> Any:
+    """The JSON form of a config value, field by field as _build reads it."""
+    if isinstance(value, WeightedProfile):
+        return {"weight": value.weight, **_plain(value.profile)}
+    if is_dataclass(value):
+        return {
+            f.name: _plain(getattr(value, f.name))
+            for f in fields(value)
+            # a None that the default restores (the policy's threshold) is left out
+            if not (f.default is None and getattr(value, f.name) is None)
+        }
+    if isinstance(value, tuple):
+        return [_plain(v) for v in value]
+    return value
 
 
 def serialize_scenario(cfg: ScenarioConfig) -> dict:
-    policy: dict[str, Any] = {"variant": cfg.policy.variant}
-    if cfg.policy.edge_utilization_threshold_pct is not None:
-        policy["edge_utilization_threshold_pct"] = (
-            cfg.policy.edge_utilization_threshold_pct
-        )
-    return {
-        "duration_min": cfg.duration_min,
-        "device_count": cfg.device_count,
-        "master_seed": cfg.master_seed,
-        "policy": policy,
-        "access_points": [
-            {
-                "id": ap.id,
-                "x_m": ap.x_m,
-                "y_m": ap.y_m,
-                "attractiveness_s": ap.attractiveness_s,
-                "wlan_bandwidth_mbps": ap.wlan_bandwidth_mbps,
-            }
-            for ap in cfg.access_points
-        ],
-        "edge": {"vms_per_ap": cfg.edge.vms_per_ap, "mips": cfg.edge.mips},
-        "cloud": {"vm_count": cfg.cloud.vm_count, "mips": cfg.cloud.mips},
-        "network": {
-            "wan_bandwidth_mbps": cfg.network.wan_bandwidth_mbps,
-            "wan_propagation_s": cfg.network.wan_propagation_s,
-            "wlan_device_capacity": cfg.network.wlan_device_capacity,
-            "wan_transfer_capacity": cfg.network.wan_transfer_capacity,
-        },
-        "profiles": [
-            {
-                "name": wp.profile.name,
-                "weight": wp.weight,
-                "interarrival_mean_s": wp.profile.interarrival_mean_s,
-                "active_s": wp.profile.active_s,
-                "idle_s": wp.profile.idle_s,
-                "upload_bytes": wp.profile.upload_bytes,
-                "download_bytes": wp.profile.download_bytes,
-                "length_mi": wp.profile.length_mi,
-                "vm_utilization_pct": wp.profile.vm_utilization_pct,
-                "cloud_probability": wp.profile.cloud_probability,
-            }
-            for wp in cfg.profiles
-        ],
-        "snapshot_period_s": cfg.snapshot_period_s,
-    }
+    return _plain(cfg)
 
 
 def save_scenario(cfg: ScenarioConfig, path: str) -> None:

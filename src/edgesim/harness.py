@@ -23,7 +23,7 @@ from edgesim.config import ScenarioConfig
 from edgesim.engine import ENGINES, run_scenario
 from edgesim.metrics import METRICS_CSV_FIELDS, MetricsSummary, metrics_csv_row
 from edgesim.rng import run_seed
-from edgesim.stats import ks_p_value, ks_statistic, qq_pairs
+from edgesim.stats import ks_test, qq_pairs
 
 ALPHA = 0.05
 
@@ -145,9 +145,10 @@ def bench_sweep(
     if iterations < 1:
         raise ValueError("iterations must be at least 1")
     master = cfg.master_seed if master_seed is None else master_seed
+    # Build every point first, so a bad one fails before any run starts.
+    points = [(value, _cfg_at(cfg, sweep_var, value)) for value in values]
     rows: list[BenchRow] = []
-    for value in values:
-        cfg_v = _cfg_at(cfg, sweep_var, value)
+    for value, cfg_v in points:
         results = {engine: [] for engine in ENGINES}
         for i in range(iterations):
             for engine in ENGINES:
@@ -255,8 +256,7 @@ def validate_equivalence(
     for metric in VALIDATION_METRICS:
         a = metric_samples(base, metric)
         b = metric_samples(reno, metric)
-        d = ks_statistic(a, b)
-        rows.append(KsRow(metric, d, ks_p_value(d, len(a), len(b)), len(a), len(b)))
+        rows.append(KsRow(metric, *ks_test(a, b)))
         qq[metric] = qq_pairs(a, b)
 
     report = ValidationReport(rows=rows, qq=qq, runs_per_engine=runs_per_engine)

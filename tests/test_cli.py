@@ -165,6 +165,14 @@ def test_non_finite_number_exits_nonzero(tmp_path, capsys):
     assert "duration_min" in capsys.readouterr().err
 
 
+def test_negative_master_seed_exits_nonzero(tmp_path, capsys):
+    path = tmp_path / "seed.json"
+    path.write_text(json.dumps(scenario_dict(master_seed=-1)), encoding="utf-8")
+    rc = main(["run", "--scenario", str(path), "--engine", "baseline", "--seed", "1"])
+    assert rc == 1
+    assert "master_seed" in capsys.readouterr().err
+
+
 def test_bad_sweep_spec_exits_nonzero(scenario_file, tmp_path, capsys):
     rc = main(
         [

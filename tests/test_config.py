@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -117,6 +119,64 @@ def test_profile_number_must_be_finite():
     with pytest.raises(ValidationError) as excinfo:
         parse_scenario_dict(d)
     assert field_path_of(excinfo) == "profiles[0].active_s"
+
+
+@pytest.mark.parametrize(
+    "section, name, value",
+    [
+        ("edge", "vms_per_ap", 0),
+        ("edge", "mips", 0),
+        ("cloud", "vm_count", 0),
+        ("cloud", "mips", -1),
+        ("network", "wan_bandwidth_mbps", 0),
+        ("network", "wan_propagation_s", -0.1),
+        ("network", "wlan_device_capacity", 0.5),
+        ("network", "wan_transfer_capacity", 0),
+    ],
+)
+def test_section_range_rule_names_dotted_path(section, name, value):
+    d = scenario_dict()
+    d[section][name] = value
+    with pytest.raises(ValidationError) as excinfo:
+        parse_scenario_dict(d)
+    assert field_path_of(excinfo) == f"{section}.{name}"
+
+
+def test_negative_master_seed_rejected():
+    # SeedSequence rejects it later, in the middle of a campaign
+    with pytest.raises(ValidationError) as excinfo:
+        make_cfg(master_seed=-1)
+    assert field_path_of(excinfo) == "master_seed"
+    assert make_cfg(master_seed=0).master_seed == 0
+
+
+@pytest.mark.parametrize("change", [{"device_count": 0}, {"snapshot_period_s": 0}])
+def test_replace_is_validated(change):
+    with pytest.raises(ValidationError) as excinfo:
+        replace(make_cfg(), **change)
+    assert field_path_of(excinfo) == next(iter(change))
+
+
+def test_capacity_defaults_do_not_depend_on_file_shape():
+    without_network = minimal_dict()
+    with_network = minimal_dict()
+    with_network["network"] = {"wan_bandwidth_mbps": 500.0, "wan_propagation_s": 0.15}
+    a = serialize_scenario(parse_scenario_dict(without_network))
+    b = serialize_scenario(parse_scenario_dict(with_network))
+    assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+    assert isinstance(a["network"]["wlan_device_capacity"], float)
+    assert isinstance(a["network"]["wan_transfer_capacity"], float)
+
+
+SHIPPED = sorted(Path(__file__).resolve().parent.parent.glob("scenarios/*.json"))
+
+
+@pytest.mark.parametrize("path", SHIPPED, ids=lambda p: p.name)
+def test_shipped_scenario_round_trips(path):
+    cfg = load_scenario(str(path))
+    data = serialize_scenario(cfg)
+    assert parse_scenario_dict(data) == cfg
+    assert serialize_scenario(parse_scenario_dict(data)) == data
 
 
 @pytest.mark.parametrize("name", ["wlan_device_capacity", "wan_transfer_capacity"])

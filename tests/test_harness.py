@@ -7,6 +7,8 @@ import os
 
 import pytest
 
+from edgesim import harness
+from edgesim.config import ValidationError
 from edgesim.harness import (
     BENCH_CSV_FIELDS,
     KS_CSV_FIELDS,
@@ -95,6 +97,19 @@ def test_bench_sweep_rows_and_csv(tmp_path):
     table = read_csv(str(tmp_path / "bench.csv"))
     assert table[0] == list(BENCH_CSV_FIELDS)
     assert len(table) == 1 + len(rows)
+
+
+@pytest.mark.parametrize(
+    "sweep_var, values, field",
+    [("devices", [0, 10], "device_count"), ("duration-min", [0, 0.5], "duration_min")],
+)
+def test_bad_sweep_point_fails_before_any_run(monkeypatch, sweep_var, values, field):
+    calls = []
+    monkeypatch.setattr(harness, "_one_run", lambda args: calls.append(args))
+    with pytest.raises(ValidationError) as excinfo:
+        bench_sweep(tiny_cfg(), sweep_var, values, iterations=1)
+    assert excinfo.value.field_path == field
+    assert calls == []
 
 
 def test_bench_requires_iterations():
